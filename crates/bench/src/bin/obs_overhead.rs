@@ -44,7 +44,6 @@ fn build_db() -> Database {
     let db = Database::builder()
         .exec_config(ExecConfig {
             parallelism: PARALLELISM,
-            min_parallel_rows: 0,
             plan_cache_capacity: 0,
             ..Default::default()
         })

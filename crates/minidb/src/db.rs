@@ -13,7 +13,7 @@ use crate::expr::EvalContext;
 use crate::optimizer::{Optimizer, OptimizerConfig};
 use crate::plan::logical::LogicalPlan;
 use crate::plan::planner::Planner;
-use crate::profile::{OperatorKind, Profiler};
+use crate::profile::{OperatorKind, Profiler, StatementStats};
 use crate::sql::ast::{ObjectKind, Query, Statement};
 use crate::sql::parser;
 use crate::stats::StatsCache;
@@ -70,13 +70,14 @@ impl QueryResult {
         self.table.schema().fields().iter().map(|f| f.data_type).collect()
     }
 
-    /// Wall-clock time the statement took (parse excluded for prepared
-    /// queries, included for `Database::execute`).
+    /// Wall-clock time the statement took (parse and plan excluded for
+    /// prepared queries, included for `Database::execute`).
     pub fn elapsed(&self) -> std::time::Duration {
         self.elapsed
     }
 
-    /// Base-table rows read by Scan operators while this statement ran.
+    /// Base-table rows this statement's Scan operators read (scalar
+    /// subqueries evaluated while planning it included).
     pub fn rows_scanned(&self) -> u64 {
         self.rows_scanned
     }
@@ -88,9 +89,8 @@ impl QueryResult {
         self.plan_cache_hit
     }
 
-    /// Plan-cache lookups recorded while this statement ran (a delta of
-    /// the database-wide counters; with concurrent statements the window
-    /// may include their lookups too).
+    /// This statement's plan-cache lookups (statements running at the
+    /// same time never count here).
     pub fn plan_cache_stats(&self) -> cachekit::StatsSnapshot {
         self.plan_cache
     }
@@ -210,8 +210,8 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Worker threads for morsel-parallel operators (`1` = serial
-    /// reference path). Clamped to at least 1.
+    /// Worker threads that run the executor's morsels. Results are
+    /// bit-identical at every worker count. Clamped to at least 1.
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.exec_config.parallelism = workers.max(1);
         self
@@ -333,7 +333,8 @@ impl Database {
         self.udfs.register(udf);
     }
 
-    /// The per-operator profiler.
+    /// The database-wide per-operator totals: every finished statement's
+    /// counters, folded in when the statement ends.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }
@@ -443,12 +444,9 @@ impl Database {
     /// served from an epoch-validated plan cache, skipping parse + plan
     /// entirely; any catalog change invalidates affected entries wholesale.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let started = std::time::Instant::now();
-        let governor = self.statement_governor(None);
-        let root = self.query_root();
-        let pc_before = self.profiler.plan_cache_stats();
-        let out = self.execute_traced(sql, root, &governor);
-        self.finalize_query(root, pc_before, started, out)
+        self.statement(None, |root, governor, stats| {
+            self.execute_traced(sql, root, governor, stats)
+        })
     }
 
     fn execute_traced(
@@ -456,10 +454,11 @@ impl Database {
         sql: &str,
         root: obs::SpanId,
         governor: &govern::Governor,
+        stats: &StatementStats,
     ) -> Result<QueryResult> {
         if self.plan_cache.capacity() == 0 {
             let stmt = self.parse_spanned(sql, root)?;
-            return self.execute_statement_spanned(&stmt, root, governor);
+            return self.execute_statement_inner(&stmt, root, governor, stats);
         }
         let key = normalize_sql(sql);
         // Read the epoch before planning: a concurrent mutation between
@@ -468,9 +467,9 @@ impl Database {
         let epoch = self.plan_epoch();
         if let Some((cached_epoch, plan)) = self.plan_cache.get(&key) {
             if cached_epoch == epoch {
-                self.profiler.record_plan_cache(true);
+                stats.record_plan_cache(true);
                 self.tracer.event(root, "plan_cache", "hit");
-                let mut result = self.run_plan_timed_spanned(&plan, root, governor)?;
+                let mut result = self.run_plan(&plan, root, governor, stats)?;
                 result.plan_cache_hit = true;
                 return Ok(result);
             }
@@ -478,13 +477,13 @@ impl Database {
         }
         let stmt = self.parse_spanned(sql, root)?;
         if let Statement::Query(q) = &stmt {
-            self.profiler.record_plan_cache(false);
+            stats.record_plan_cache(false);
             self.tracer.event(root, "plan_cache", "miss");
-            let plan = Arc::new(self.plan_query_spanned(q, root)?);
+            let plan = Arc::new(self.plan_query_spanned(q, root, stats)?);
             self.plan_cache.insert(key, (epoch, Arc::clone(&plan)));
-            return self.run_plan_timed_spanned(&plan, root, governor);
+            return self.run_plan(&plan, root, governor, stats);
         }
-        self.execute_statement_spanned(&stmt, root, governor)
+        self.execute_statement_inner(&stmt, root, governor, stats)
     }
 
     /// Root span for one statement: created when the collector is enabled
@@ -499,22 +498,39 @@ impl Database {
         }
     }
 
-    /// Closes a statement's root span: extracts the tree, fires the
-    /// slow-query hook when the statement crossed the threshold, attaches
-    /// the trace and per-statement plan-cache delta to the result, and
-    /// feeds the latency histogram. Errored statements feed the histogram
-    /// too (with their wall time up to the failure) and bump the failure
-    /// counters by governance cause — previously they silently skipped
-    /// accounting entirely.
+    /// Runs `body` as one statement: its governor (scoped to `token` when
+    /// given), its root span and its [`StatementStats`], then the
+    /// bookkeeping of [`finalize_query`](Self::finalize_query).
+    fn statement(
+        &self,
+        token: Option<govern::CancelToken>,
+        body: impl FnOnce(obs::SpanId, &govern::Governor, &StatementStats) -> Result<QueryResult>,
+    ) -> Result<QueryResult> {
+        let started = std::time::Instant::now();
+        let governor = self.statement_governor(token);
+        let root = self.query_root();
+        let stats = StatementStats::new();
+        let out = body(root, &governor, &stats);
+        self.finalize_query(root, started.elapsed(), stats, out)
+    }
+
+    /// Ends a statement: folds its stats into the profiler, closes its root
+    /// span, fires the slow-query hook when the statement crossed the
+    /// threshold, stamps the result with its wall time, scan volume,
+    /// plan-cache lookups and trace, and feeds the latency histogram.
+    /// Errored statements feed the histogram too (with their wall time up
+    /// to the failure) and bump the failure counters by governance cause.
     fn finalize_query(
         &self,
         root: obs::SpanId,
-        pc_before: cachekit::StatsSnapshot,
-        started: std::time::Instant,
+        elapsed: std::time::Duration,
+        stats: StatementStats,
         out: Result<QueryResult>,
     ) -> Result<QueryResult> {
+        let (rows_scanned, plan_cache) = (stats.rows_scanned(), stats.plan_cache());
+        self.profiler.absorb(stats);
         if let Err(err) = &out {
-            self.note_failure(root, err, started);
+            self.note_failure(root, err, elapsed);
         }
         let tree = if root.is_some() {
             self.tracer.finish(root);
@@ -523,17 +539,14 @@ impl Database {
             None
         };
         let mut result = out?;
-        let pc_after = self.profiler.plan_cache_stats();
-        result.plan_cache = cachekit::StatsSnapshot {
-            hits: pc_after.hits.saturating_sub(pc_before.hits),
-            misses: pc_after.misses.saturating_sub(pc_before.misses),
-            evictions: pc_after.evictions.saturating_sub(pc_before.evictions),
-        };
-        self.query_latency.observe(result.elapsed.as_secs_f64());
+        result.elapsed = elapsed;
+        result.rows_scanned = rows_scanned;
+        result.plan_cache = plan_cache;
+        self.query_latency.observe(elapsed.as_secs_f64());
         if let Some(tree) = tree {
             let tree = Arc::new(tree);
             if let Some(threshold) = self.exec_config.read().slow_query_threshold {
-                if result.elapsed >= threshold {
+                if elapsed >= threshold {
                     let hook = self.slow_query_hook.read().clone();
                     hook(&tree);
                 }
@@ -546,9 +559,9 @@ impl Database {
     /// Failure-side bookkeeping for [`finalize_query`](Self::finalize_query):
     /// latency histogram, failure counters by governance cause, and a
     /// `governance` trace event when the statement was traced.
-    fn note_failure(&self, root: obs::SpanId, err: &Error, started: std::time::Instant) {
+    fn note_failure(&self, root: obs::SpanId, err: &Error, elapsed: std::time::Duration) {
         use std::sync::atomic::Ordering::Relaxed;
-        self.query_latency.observe(started.elapsed().as_secs_f64());
+        self.query_latency.observe(elapsed.as_secs_f64());
         self.query_failures.fetch_add(1, Relaxed);
         let cause = match err.governance() {
             Some(govern::QueryError::Canceled) => {
@@ -582,26 +595,20 @@ impl Database {
         stmt
     }
 
-    /// Executes an optimized plan under an `execute` phase span, stamping
-    /// timing + rows-scanned metadata.
-    fn run_plan_timed_spanned(
+    /// Executes an optimized plan under an `execute` phase span.
+    fn run_plan(
         &self,
         plan: &LogicalPlan,
         parent: obs::SpanId,
         governor: &govern::Governor,
+        stats: &StatementStats,
     ) -> Result<QueryResult> {
-        let scanned_before = self.profiler.rows_out(OperatorKind::Scan);
-        let start = std::time::Instant::now();
         let span = self.tracer.child(parent, obs::SpanKind::Phase, "execute", "");
-        let table = self.execute_plan_spanned(plan, span, governor);
+        let table = self.execute_plan_spanned(plan, span, governor, stats);
         self.tracer.finish(span);
         let table = table?;
         let rows = table.num_rows();
-        let mut result = QueryResult::of(table, rows);
-        result.elapsed = start.elapsed();
-        result.rows_scanned =
-            self.profiler.rows_out(OperatorKind::Scan).saturating_sub(scanned_before);
-        Ok(result)
+        Ok(QueryResult::of(table, rows))
     }
 
     /// Executes a semicolon-separated script, returning the last result.
@@ -617,27 +624,9 @@ impl Database {
     /// Executes a parsed statement, stamping the result with its wall time
     /// and the number of base-table rows its Scan operators read.
     pub fn execute_statement(&self, stmt: &Statement) -> Result<QueryResult> {
-        let started = std::time::Instant::now();
-        let governor = self.statement_governor(None);
-        let root = self.query_root();
-        let pc_before = self.profiler.plan_cache_stats();
-        let out = self.execute_statement_spanned(stmt, root, &governor);
-        self.finalize_query(root, pc_before, started, out)
-    }
-
-    fn execute_statement_spanned(
-        &self,
-        stmt: &Statement,
-        span: obs::SpanId,
-        governor: &govern::Governor,
-    ) -> Result<QueryResult> {
-        let scanned_before = self.profiler.rows_out(OperatorKind::Scan);
-        let start = std::time::Instant::now();
-        let mut result = self.execute_statement_inner(stmt, span, governor)?;
-        result.elapsed = start.elapsed();
-        result.rows_scanned =
-            self.profiler.rows_out(OperatorKind::Scan).saturating_sub(scanned_before);
-        Ok(result)
+        self.statement(None, |root, governor, stats| {
+            self.execute_statement_inner(stmt, root, governor, stats)
+        })
     }
 
     fn execute_statement_inner(
@@ -645,12 +634,15 @@ impl Database {
         stmt: &Statement,
         span: obs::SpanId,
         governor: &govern::Governor,
+        stats: &StatementStats,
     ) -> Result<QueryResult> {
+        let record = |kind, start: std::time::Instant, rows| {
+            stats.record(kind, &exec::op_metrics(start.elapsed(), std::time::Duration::ZERO, rows))
+        };
         match stmt {
             Statement::Query(q) => {
-                let table = self.run_query_spanned(q, span, governor)?;
-                let rows = table.num_rows();
-                Ok(QueryResult::of(table, rows))
+                let plan = self.plan_query_spanned(q, span, stats)?;
+                self.run_plan(&plan, span, governor, stats)
             }
             Statement::CreateTable { name, if_not_exists, columns, as_query, .. } => {
                 if *if_not_exists && self.catalog.table(name).is_some() {
@@ -659,7 +651,7 @@ impl Database {
                 // The inner query's operators record themselves; the
                 // CreateTable entry covers only the materialization.
                 let table = match as_query {
-                    Some(q) => self.run_query_spanned(q, span, governor)?,
+                    Some(q) => self.run_query_spanned(q, span, governor, stats)?,
                     None => {
                         let schema = Schema::new(
                             columns.iter().map(|(n, t)| Field::new(n.clone(), *t)).collect(),
@@ -672,23 +664,28 @@ impl Database {
                 // `CREATE TEMP TABLE` re-creation is idiomatic in the
                 // DL2SQL-generated scripts: allow replacement.
                 self.catalog.create_table(name, table, true)?;
-                self.profiler.record(OperatorKind::CreateTable, start.elapsed(), rows);
+                record(OperatorKind::CreateTable, start, rows);
                 Ok(QueryResult::of(Table::empty(Schema::default()), rows))
             }
             Statement::CreateView { name, query } => {
                 // Validate the definition by planning it once.
-                let _plan = self.plan_query(query)?;
+                let _plan = self.plan_query_spanned(query, obs::SpanId::NONE, stats)?;
                 self.catalog.create_view(name, query.clone(), true)?;
                 Ok(QueryResult::of(Table::empty(Schema::default()), 0))
             }
-            Statement::Insert { table, rows } => self.run_insert(table, rows),
+            Statement::Insert { table, rows } => {
+                let start = std::time::Instant::now();
+                let affected = self.run_insert(table, rows)?;
+                record(OperatorKind::Insert, start, affected);
+                Ok(QueryResult::of(Table::empty(Schema::default()), affected))
+            }
             Statement::InsertSelect { table, query } => {
                 let start = std::time::Instant::now();
                 let current = self
                     .catalog
                     .table(table)
                     .ok_or_else(|| Error::NotFound(format!("table '{table}'")))?;
-                let incoming = self.run_query_spanned(query, span, governor)?;
+                let incoming = self.run_query_spanned(query, span, governor, stats)?;
                 if incoming.num_columns() != current.num_columns() {
                     return Err(Error::Plan(format!(
                         "INSERT SELECT produces {} columns, table '{table}' has {}",
@@ -702,11 +699,14 @@ impl Database {
                 }
                 let affected = incoming.num_rows();
                 self.catalog.replace_table(table, new_table)?;
-                self.profiler.record(OperatorKind::Insert, start.elapsed(), affected);
+                record(OperatorKind::Insert, start, affected);
                 Ok(QueryResult::of(Table::empty(Schema::default()), affected))
             }
             Statement::Update { table, assignments, predicate } => {
-                self.run_update(table, assignments, predicate.as_ref())
+                let start = std::time::Instant::now();
+                let affected = self.run_update(table, assignments, predicate.as_ref())?;
+                record(OperatorKind::Update, start, affected);
+                Ok(QueryResult::of(Table::empty(Schema::default()), affected))
             }
             Statement::CreateIndex { table, column } => {
                 self.catalog.create_index(table, column)?;
@@ -725,7 +725,7 @@ impl Database {
                 let rows = table.num_rows();
                 Ok(QueryResult::of(table, rows))
             }
-            Statement::ExplainAnalyze(inner) => self.explain_analyze(inner, governor),
+            Statement::ExplainAnalyze(inner) => self.explain_analyze(inner, governor, stats),
             Statement::Drop { kind, name, if_exists } => {
                 let dropped = match kind {
                     ObjectKind::Table => self.catalog.drop_table(name, *if_exists)?,
@@ -759,26 +759,26 @@ impl Database {
     pub fn run_query(&self, q: &Query) -> Result<Table> {
         let started = std::time::Instant::now();
         let governor = self.statement_governor(None);
-        let out = self.run_query_spanned(q, obs::SpanId::NONE, &governor);
+        let stats = StatementStats::new();
+        let out = self.run_query_spanned(q, obs::SpanId::NONE, &governor, &stats);
+        self.profiler.absorb(stats);
         if let Err(err) = &out {
-            self.note_failure(obs::SpanId::NONE, err, started);
+            self.note_failure(obs::SpanId::NONE, err, started.elapsed());
         }
         out
     }
 
     /// [`run_query`](Self::run_query) with plan/execute phase spans
-    /// nesting under `parent`.
+    /// nesting under `parent`, counting into the enclosing statement.
     fn run_query_spanned(
         &self,
         q: &Query,
         parent: obs::SpanId,
         governor: &govern::Governor,
+        stats: &StatementStats,
     ) -> Result<Table> {
-        let plan = self.plan_query_spanned(q, parent)?;
-        let span = self.tracer.child(parent, obs::SpanKind::Phase, "execute", "");
-        let out = self.execute_plan_spanned(&plan, span, governor);
-        self.tracer.finish(span);
-        out
+        let plan = self.plan_query_spanned(q, parent, stats)?;
+        Ok(self.run_plan(&plan, parent, governor, stats)?.into_table())
     }
 
     fn cost_ctx(&self) -> CostContext<'_> {
@@ -790,22 +790,39 @@ impl Database {
         }
     }
 
-    /// Plans and optimizes a SELECT without executing it.
+    /// Plans and optimizes a SELECT without executing it (scalar
+    /// subqueries are evaluated while planning).
     pub fn plan_query(&self, q: &Query) -> Result<LogicalPlan> {
-        self.plan_query_spanned(q, obs::SpanId::NONE)
+        let stats = StatementStats::new();
+        let plan = self.plan_query_spanned(q, obs::SpanId::NONE, &stats);
+        self.profiler.absorb(stats);
+        plan
     }
 
     /// [`plan_query`](Self::plan_query) under a `plan` phase span with one
-    /// child per optimizer pass.
-    fn plan_query_spanned(&self, q: &Query, parent: obs::SpanId) -> Result<LogicalPlan> {
+    /// child per optimizer pass; scalar subqueries count into `stats`.
+    fn plan_query_spanned(
+        &self,
+        q: &Query,
+        parent: obs::SpanId,
+        stats: &StatementStats,
+    ) -> Result<LogicalPlan> {
         let span = self.tracer.child(parent, obs::SpanKind::Phase, "plan", "");
-        let out = self.plan_query_passes(q, span);
+        let out = self.plan_query_passes(q, span, stats);
         self.tracer.finish(span);
         out
     }
 
-    fn plan_query_passes(&self, q: &Query, span: obs::SpanId) -> Result<LogicalPlan> {
-        let runner = |sub: &Query| self.run_query(sub);
+    fn plan_query_passes(
+        &self,
+        q: &Query,
+        span: obs::SpanId,
+        stats: &StatementStats,
+    ) -> Result<LogicalPlan> {
+        let runner = |sub: &Query| {
+            let governor = self.statement_governor(None);
+            self.run_query_spanned(sub, obs::SpanId::NONE, &governor, stats)
+        };
         let planner = Planner::new(&self.catalog, &self.udfs, Some(&runner));
         let s = self.tracer.child(span, obs::SpanKind::Phase, "build_logical", "");
         let plan = planner.plan_query(q);
@@ -838,22 +855,27 @@ impl Database {
     /// Executes an already-optimized plan.
     pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<Table> {
         let governor = self.statement_governor(None);
-        self.execute_plan_spanned(plan, obs::SpanId::NONE, &governor)
+        let stats = StatementStats::new();
+        let out = self.execute_plan_spanned(plan, obs::SpanId::NONE, &governor, &stats);
+        self.profiler.absorb(stats);
+        out
     }
 
     /// [`execute_plan`](Self::execute_plan) with operator spans nesting
-    /// under `span` (pass [`obs::SpanId::NONE`] to disable tracing).
+    /// under `span` (pass [`obs::SpanId::NONE`] to disable tracing),
+    /// counting into `stats`.
     fn execute_plan_spanned(
         &self,
         plan: &LogicalPlan,
         span: obs::SpanId,
         governor: &govern::Governor,
+        stats: &StatementStats,
     ) -> Result<Table> {
         let exec_config = self.exec_config.read().clone();
         let ctx = ExecContext {
             catalog: &self.catalog,
             udfs: &self.udfs,
-            profiler: &self.profiler,
+            stats,
             config: &exec_config,
             tracer: &self.tracer,
             span,
@@ -910,10 +932,13 @@ impl Database {
         &self,
         stmt: &Statement,
         governor: &govern::Governor,
+        stats: &StatementStats,
     ) -> Result<QueryResult> {
         // Forced root: EXPLAIN ANALYZE traces even with the collector off.
         let root = self.tracer.start_root("query");
-        let out = self.execute_statement_spanned(stmt, root, governor);
+        let start = std::time::Instant::now();
+        let out = self.execute_statement_inner(stmt, root, governor, stats);
+        let elapsed = start.elapsed();
         self.tracer.finish(root);
         let tree = self.tracer.take_tree(root);
         let inner = out?;
@@ -924,7 +949,7 @@ impl Database {
         col.push(crate::value::Value::Utf8(format!(
             "Execution: {} rows, time={}",
             inner.rows_affected,
-            obs::fmt_ns(inner.elapsed.as_nanos() as u64)
+            obs::fmt_ns(elapsed.as_nanos() as u64)
         )))?;
         let table = Table::new(
             Schema::new(vec![Field::new("plan", crate::value::DataType::Utf8)]),
@@ -1100,12 +1125,8 @@ impl Database {
     // DML
     // ------------------------------------------------------------------
 
-    fn run_insert(
-        &self,
-        table_name: &str,
-        rows: &[Vec<crate::sql::ast::Expr>],
-    ) -> Result<QueryResult> {
-        let start = std::time::Instant::now();
+    /// Appends literal rows; returns the number inserted.
+    fn run_insert(&self, table_name: &str, rows: &[Vec<crate::sql::ast::Expr>]) -> Result<usize> {
         let current = self
             .catalog
             .table(table_name)
@@ -1129,19 +1150,18 @@ impl Database {
             // Date columns accept string literals; push coerces.
             new_table.push_row(values)?;
         }
-        let affected = rows.len();
         self.catalog.replace_table(table_name, new_table)?;
-        self.profiler.record(OperatorKind::Insert, start.elapsed(), affected);
-        Ok(QueryResult::of(Table::empty(Schema::default()), affected))
+        Ok(rows.len())
     }
 
+    /// Rewrites the assigned columns of the rows matching `predicate`;
+    /// returns the number of rows updated.
     fn run_update(
         &self,
         table_name: &str,
         assignments: &[(String, crate::sql::ast::Expr)],
         predicate: Option<&crate::sql::ast::Expr>,
-    ) -> Result<QueryResult> {
-        let start = std::time::Instant::now();
+    ) -> Result<usize> {
         let current = self
             .catalog
             .table(table_name)
@@ -1175,8 +1195,7 @@ impl Database {
             new_table.set_column(idx, rebuilt)?;
         }
         self.catalog.replace_table(table_name, new_table)?;
-        self.profiler.record(OperatorKind::Update, start.elapsed(), affected);
-        Ok(QueryResult::of(Table::empty(Schema::default()), affected))
+        Ok(affected)
     }
 }
 
@@ -1211,12 +1230,9 @@ impl PreparedQuery<'_> {
     /// Executes the prepared plan, stamping timing metadata like
     /// [`Database::execute_statement`] (without the parse/plan cost).
     pub fn run(&self) -> Result<QueryResult> {
-        let started = std::time::Instant::now();
-        let governor = self.db.statement_governor(self.token.get().cloned());
-        let root = self.db.query_root();
-        let pc_before = self.db.profiler.plan_cache_stats();
-        let out = self.db.run_plan_timed_spanned(&self.plan, root, &governor);
-        self.db.finalize_query(root, pc_before, started, out)
+        self.db.statement(self.token.get().cloned(), |root, governor, stats| {
+            self.db.run_plan(&self.plan, root, governor, stats)
+        })
     }
 }
 

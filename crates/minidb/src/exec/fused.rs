@@ -14,10 +14,10 @@
 //!   group-by would, in the same order, with the same argument values
 //!   (the per-side column evaluation reproduces what expression
 //!   evaluation over the materialized join row would compute);
-//! * the morsel-parallel path partitions *probe* rows, computes partial
-//!   accumulators per morsel and merges them in morsel order, so the
-//!   result depends only on the morsel decomposition, never on worker
-//!   scheduling — the same discipline as [`parallel::aggregate`].
+//! * the probe runs through the morsel runner: it partitions *probe*
+//!   rows, computes partial accumulators per morsel and merges them in
+//!   morsel order, so the result depends only on the morsel decomposition,
+//!   never on worker scheduling — the same discipline as the group-by.
 //!
 //! Typed fast paths avoid per-pair heap traffic: join keys pack into
 //! `i128`s, group keys of up to two `Int64` columns pack the same way,
@@ -36,17 +36,16 @@ use crate::plan::logical::AggExpr;
 use crate::table::{Schema, Table};
 use crate::value::{DataType, Value};
 
-use super::{composite_keys, join_keys, parallel, Acc, ExecContext, JoinKeys};
+use super::{composite_keys, join_keys, morsel, Acc, ExecContext, JoinKeys};
 
 /// Counters the executor feeds into the profiler's fused record.
 pub(crate) struct FusedMetrics {
-    /// Worker busy time beyond the operator's own wall time (zero when
-    /// the probe ran serially).
+    /// Probe worker busy time beyond the probe's own wall time (zero on
+    /// one worker).
     pub extra_busy: Duration,
-    /// Serial setup time — argument/key evaluation plus hash-table build —
-    /// before the (possibly parallel) probe starts. The profiler records
-    /// this as its own invocation so effective parallelism reflects only
-    /// the probe.
+    /// Setup time — argument/key evaluation plus hash-table build — before
+    /// the morsel-driven probe starts. It is recorded as its own
+    /// invocation so effective parallelism reflects only the probe.
     pub build: Duration,
     /// Rows consumed across both join inputs.
     pub rows_in: usize,
@@ -109,6 +108,21 @@ impl FusedArg {
                 Some(if *int { DataType::Int64 } else { DataType::Float64 })
             }
         }
+    }
+
+    /// Folds the argument's value for the pair `(li, ri)` into `acc`. The
+    /// typed arms compute exactly what [`Acc::update`] computes from
+    /// [`value`](Self::value), without the `Value` round trip.
+    #[inline]
+    fn fold(&self, acc: &mut Acc, li: usize, ri: usize) -> Result<()> {
+        match (self, acc) {
+            (FusedArg::CountStar, Acc::Count(c)) => *c += 1,
+            (FusedArg::Product { a_side, a, b_side, b, int: false }, Acc::SumF(s)) => {
+                *s += a.f64_at(pick(*a_side, li, ri)) * b.f64_at(pick(*b_side, li, ri));
+            }
+            (_, acc) => acc.update(self.value(li, ri).as_ref())?,
+        }
+        Ok(())
     }
 
     #[inline]
@@ -407,8 +421,8 @@ where
     }
 }
 
-/// Probes serially or morsel-parallel and returns merged group state plus
-/// worker busy time beyond wall time.
+/// Runs the morsel-driven probe and returns the merged group state plus
+/// probe worker busy time beyond wall time.
 fn fold_all<'a, K, KF, LF>(
     probe_len: usize,
     lookup: LF,
@@ -423,31 +437,21 @@ where
     KF: Fn(usize, usize) -> K + Sync,
     LF: Fn(usize) -> Option<&'a Vec<usize>> + Sync,
 {
-    if !parallel::active(ctx.config, probe_len) {
-        let local = fold_range(0..probe_len, &lookup, build_left, &keyer, args, aggs, ctx)?;
-        return Ok((local.folded, Duration::ZERO));
+    let (parts, extra_busy) = morsel::run(ctx, probe_len, |range| {
+        let local = fold_range(range, &lookup, build_left, &keyer, args, aggs, ctx)?;
+        let groups = local.keys.len();
+        Ok((local, groups))
+    })?;
+    if parts.len() == 1 {
+        let local = parts.into_iter().next().expect("one morsel");
+        return Ok((local.folded, extra_busy));
     }
 
-    let probe_start = Instant::now();
-    let ranges = taskpool::split_ranges(probe_len, ctx.config.morsel_rows);
-    let parts = taskpool::try_run_ranges(ctx.config.parallelism, &ranges, |range| {
-        parallel::morsel_checkpoint(ctx)?;
-        let t0 = parallel::morsel_t0(ctx);
-        let start = Instant::now();
-        let local = fold_range(range.clone(), &lookup, build_left, &keyer, args, aggs, ctx)?;
-        let elapsed = start.elapsed();
-        parallel::note_morsel(ctx, &range, t0, local.keys.len() as u64);
-        Ok::<_, crate::error::Error>((local, elapsed))
-    })?;
-
     // Merge partials in morsel order: group ids follow first occurrence
-    // across morsels, matching the serial probe's group order.
-    let mut busy = Duration::ZERO;
+    // across morsels, as in a single pass over the probe.
     let mut ids: FxHashMap<K, usize> = FxHashMap::default();
     let mut folded = FoldedGroups::default();
-    for part in parts {
-        let (local, elapsed) = part?;
-        busy += elapsed;
+    for local in parts {
         folded.pairs += local.folded.pairs;
         for ((key, first), partials) in
             local.keys.into_iter().zip(local.folded.firsts).zip(local.folded.accs)
@@ -466,7 +470,7 @@ where
             }
         }
     }
-    Ok((folded, busy.saturating_sub(probe_start.elapsed())))
+    Ok((folded, extra_busy))
 }
 
 /// The probe-and-fold inner loop over one probe-row range.
@@ -511,9 +515,8 @@ where
                     id
                 }
             };
-            for (ai, arg) in args.iter().enumerate() {
-                let v = arg.value(li, ri);
-                local.folded.accs[id][ai].update(v.as_ref())?;
+            for (arg, acc) in args.iter().zip(&mut local.folded.accs[id]) {
+                arg.fold(acc, li, ri)?;
             }
             local.folded.pairs += 1;
         }

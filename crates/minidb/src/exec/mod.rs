@@ -1,12 +1,14 @@
 //! The vectorized executor.
 //!
 //! Fully materialized, operator-at-a-time execution over columnar tables.
-//! Every operator records its own wall time (children excluded) into the
-//! session [`Profiler`] — the data behind the paper's Fig. 10 clause
-//! breakdown.
+//! Filter, Project, the hash-join probe, GroupBy and the fused
+//! join–aggregate probe run through the morsel runner (`morsel.rs`), their
+//! only execution path. Every operator records its own wall time (children
+//! excluded) into the statement's [`StatementStats`] — the data behind the
+//! paper's Fig. 10 clause breakdown.
 
 pub mod fused;
-pub mod parallel;
+mod morsel;
 pub mod symmetric;
 
 use std::time::{Duration, Instant};
@@ -17,7 +19,7 @@ use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, EvalContext};
 use crate::hash::{fx_map_with_capacity, FxHashMap};
 use crate::plan::logical::{AggExpr, AggFunc, JoinAlgorithm, LogicalPlan};
-use crate::profile::{OperatorKind, Profiler};
+use crate::profile::{OperatorKind, StatementStats};
 use crate::table::{Schema, Table};
 use crate::udf::UdfRegistry;
 use crate::value::{DataType, Value};
@@ -30,14 +32,13 @@ pub struct ExecConfig {
     /// In-memory bucket budget of the symmetric hash join before the
     /// bucket-level LRU starts evicting (paper Sec. IV-B rule 3).
     pub symmetric_bucket_budget: usize,
-    /// Worker threads for morsel-parallel operators. `1` (the default)
-    /// takes the serial reference path, bit-for-bit.
+    /// Worker threads that run the morsels of every morsel-driven
+    /// operator (default 1). It changes only how many workers run them:
+    /// results are bit-identical at every worker count.
     pub parallelism: usize,
-    /// Rows per morsel when an operator goes parallel.
+    /// Rows per morsel. Fixes the morsel decomposition, and with it the
+    /// order in which partial aggregates are merged.
     pub morsel_rows: usize,
-    /// Inputs below this row count stay serial even when `parallelism > 1`
-    /// (fan-out overhead dominates on small tables).
-    pub min_parallel_rows: usize,
     /// Entries in the ad-hoc `Database::execute` plan cache (normalized SQL
     /// text → optimized plan, validated against the catalog epoch). `0`
     /// disables the cache.
@@ -47,7 +48,7 @@ pub struct ExecConfig {
     /// hook. `None` (the default) disables the slow-query log.
     pub slow_query_threshold: Option<Duration>,
     /// Per-statement wall-clock deadline. Checked cooperatively at
-    /// operator and morsel boundaries (and on a stride inside serial
+    /// operator and morsel boundaries (and on a stride inside long row
     /// loops), so a timed-out query aborts within a few morsels of the
     /// deadline with [`govern::QueryError::TimedOut`]. `None` (the
     /// default) disables the deadline.
@@ -67,7 +68,6 @@ impl Default for ExecConfig {
             symmetric_bucket_budget: 1 << 16,
             parallelism: 1,
             morsel_rows: 4096,
-            min_parallel_rows: 4096,
             plan_cache_capacity: 64,
             slow_query_threshold: None,
             query_timeout: None,
@@ -80,7 +80,8 @@ impl Default for ExecConfig {
 pub struct ExecContext<'a> {
     pub catalog: &'a Catalog,
     pub udfs: &'a UdfRegistry,
-    pub profiler: &'a Profiler,
+    /// Counters of the running statement.
+    pub stats: &'a StatementStats,
     pub config: &'a ExecConfig,
     /// Span collector; [`obs::disabled`] when the session is untraced.
     pub tracer: &'a obs::Collector,
@@ -104,7 +105,7 @@ impl<'a> ExecContext<'a> {
         ExecContext {
             catalog: self.catalog,
             udfs: self.udfs,
-            profiler: self.profiler,
+            stats: self.stats,
             config: self.config,
             tracer: self.tracer,
             span,
@@ -130,64 +131,28 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Records a serial operator into the profiler and the current span
-    /// (one elapsed value feeds both, so the views cannot disagree).
-    fn record(&self, kind: OperatorKind, elapsed: Duration, rows_out: usize) {
-        self.profiler.record(kind, elapsed, rows_out);
-        self.note_span(kind, elapsed, elapsed, 0, rows_out, 0);
+    /// Records one operator invocation. The one value feeds both the
+    /// operator's span and the statement's stats, so the two views cannot
+    /// disagree.
+    fn record(&self, kind: OperatorKind, m: obs::OpMetrics) {
+        self.stats.record(kind, &m);
+        self.tracer.note_op(self.span, kind.label(), m);
     }
+}
 
-    /// Records a (possibly) parallel operator: wall time plus summed
-    /// worker busy time.
-    fn record_parallel(
-        &self,
-        kind: OperatorKind,
-        elapsed: Duration,
-        busy: Duration,
-        rows_out: usize,
-    ) {
-        self.profiler.record_parallel(kind, elapsed, busy, rows_out);
-        self.note_span(kind, elapsed, busy, 0, rows_out, 0);
-    }
-
-    /// Records a fused operator invocation with its extra counters.
-    #[allow(clippy::too_many_arguments)]
-    fn record_fused(
-        &self,
-        kind: OperatorKind,
-        elapsed: Duration,
-        busy: Duration,
-        rows_in: usize,
-        rows_out: usize,
-        bytes_not_materialized: u64,
-    ) {
-        self.profiler.record_fused(kind, elapsed, busy, rows_in, rows_out, bytes_not_materialized);
-        self.note_span(kind, elapsed, busy, rows_in, rows_out, bytes_not_materialized);
-    }
-
-    fn note_span(
-        &self,
-        kind: OperatorKind,
-        elapsed: Duration,
-        busy: Duration,
-        rows_in: usize,
-        rows_out: usize,
-        bytes_not_materialized: u64,
-    ) {
-        if self.span.is_none() {
-            return;
-        }
-        self.tracer.note_op(
-            self.span,
-            kind.label(),
-            obs::OpMetrics {
-                self_ns: elapsed.as_nanos() as u64,
-                busy_ns: busy.as_nanos() as u64,
-                rows_in: rows_in as u64,
-                rows_out: rows_out as u64,
-                bytes_not_materialized,
-            },
-        );
+/// Metrics of an operator invocation that ran for `elapsed` and produced
+/// `rows_out` rows. `extra_busy` is the worker time its morsels spent
+/// beyond their region's wall time (zero on one worker).
+pub(crate) fn op_metrics(
+    elapsed: Duration,
+    extra_busy: Duration,
+    rows_out: usize,
+) -> obs::OpMetrics {
+    obs::OpMetrics {
+        self_ns: elapsed.as_nanos() as u64,
+        busy_ns: (elapsed + extra_busy).as_nanos() as u64,
+        rows_out: rows_out as u64,
+        ..Default::default()
     }
 }
 
@@ -249,7 +214,10 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                 .table(table)
                 .ok_or_else(|| Error::NotFound(format!("table '{table}'")))?;
             let out = (*t).clone();
-            ctx.record(OperatorKind::Scan, start.elapsed(), out.num_rows());
+            ctx.record(
+                OperatorKind::Scan,
+                op_metrics(start.elapsed(), Duration::ZERO, out.num_rows()),
+            );
             Ok(out)
         }
         LogicalPlan::Values { table } => Ok(table.clone()),
@@ -261,32 +229,36 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let start = Instant::now();
             let kind =
                 if predicate.contains_udf() { OperatorKind::UdfEval } else { OperatorKind::Filter };
-            if parallel::active(ctx.config, t.num_rows()) {
-                let (out, busy) = parallel::filter(&t, predicate, ctx)?;
-                ctx.record_parallel(kind, start.elapsed(), busy, out.num_rows());
-                return Ok(out);
-            }
-            let mask_col = predicate.eval(&t, &ctx.eval_ctx())?;
-            let mask = mask_col.as_bool_slice()?;
-            let out = t.filter(mask);
-            ctx.record(kind, start.elapsed(), out.num_rows());
+            let (parts, extra_busy) = morsel::run(ctx, t.num_rows(), |range| {
+                let m = morsel::input(&t, range);
+                let mask_col = predicate.eval(&m, &ctx.eval_ctx())?;
+                let out = m.filter(mask_col.as_bool_slice()?);
+                let rows = out.num_rows();
+                Ok((out, rows))
+            })?;
+            let out = morsel::concat(parts)?;
+            ctx.record(kind, op_metrics(start.elapsed(), extra_busy, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Project { input, exprs, schema } => {
             let t = execute(input, ctx)?;
             let start = Instant::now();
-            if parallel::active(ctx.config, t.num_rows()) {
-                let (out, busy) = parallel::project(&t, exprs, schema, ctx)?;
-                ctx.record_parallel(OperatorKind::Project, start.elapsed(), busy, out.num_rows());
-                return Ok(out);
-            }
-            let cols: Vec<Column> = exprs
-                .iter()
-                .zip(schema.fields())
-                .map(|(e, f)| coerce_column(e.eval(&t, &ctx.eval_ctx())?, f.data_type))
-                .collect::<Result<_>>()?;
-            let out = Table::new(schema.clone(), cols)?;
-            ctx.record(OperatorKind::Project, start.elapsed(), out.num_rows());
+            let (parts, extra_busy) = morsel::run(ctx, t.num_rows(), |range| {
+                let m = morsel::input(&t, range);
+                let cols: Vec<Column> = exprs
+                    .iter()
+                    .zip(schema.fields())
+                    .map(|(e, f)| coerce_column(e.eval(&m, &ctx.eval_ctx())?, f.data_type))
+                    .collect::<Result<_>>()?;
+                let out = Table::new(schema.clone(), cols)?;
+                let rows = out.num_rows();
+                Ok((out, rows))
+            })?;
+            let out = morsel::concat(parts)?;
+            ctx.record(
+                OperatorKind::Project,
+                op_metrics(start.elapsed(), extra_busy, out.num_rows()),
+            );
             Ok(out)
         }
         LogicalPlan::Join { left, right, keys, residual, algorithm, output, schema } => {
@@ -307,11 +279,10 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                         schema,
                         ctx,
                     )?,
-                    std::time::Duration::ZERO,
+                    Duration::ZERO,
                 ),
             };
-            let elapsed = start.elapsed();
-            ctx.record_parallel(OperatorKind::Join, elapsed, elapsed + extra_busy, out.num_rows());
+            ctx.record(OperatorKind::Join, op_metrics(start.elapsed(), extra_busy, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Cross { left, right, schema } => {
@@ -331,7 +302,10 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                 }
             }
             let out = glue_join(&lt, &l_idx, &rt, &r_idx, None, None, schema, ctx)?;
-            ctx.record(OperatorKind::Join, start.elapsed(), out.num_rows());
+            ctx.record(
+                OperatorKind::Join,
+                op_metrics(start.elapsed(), Duration::ZERO, out.num_rows()),
+            );
             Ok(out)
         }
         LogicalPlan::JoinAggregate { left, right, keys, group, aggs, schema } => {
@@ -341,20 +315,20 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let start = Instant::now();
             let (out, m) = fused::join_aggregate(&lt, &rt, keys, group, aggs, schema, ctx)?;
             let elapsed = start.elapsed();
-            // Build (serial argument/key evaluation + hash build) and
-            // probe (morsel-parallel fold + emit) are distinct profiler
-            // invocations: lumping them made busy/wall meaningless as an
-            // effective-parallelism ratio, since the serial build diluted
-            // the parallel probe's busy time.
+            // Build (argument/key evaluation + hash build) and probe
+            // (morsel-driven fold + emit) are distinct invocations: lumping
+            // them made busy/wall meaningless as an effective-parallelism
+            // ratio, since the single-threaded build diluted the probe's
+            // busy time.
             let probe = elapsed.saturating_sub(m.build);
-            ctx.record_parallel(OperatorKind::JoinAggregate, m.build, m.build, 0);
-            ctx.record_fused(
+            ctx.record(OperatorKind::JoinAggregate, op_metrics(m.build, Duration::ZERO, 0));
+            ctx.record(
                 OperatorKind::JoinAggregate,
-                probe,
-                probe + m.extra_busy,
-                m.rows_in,
-                out.num_rows(),
-                m.bytes_not_materialized,
+                obs::OpMetrics {
+                    rows_in: m.rows_in as u64,
+                    bytes_not_materialized: m.bytes_not_materialized,
+                    ..op_metrics(probe, m.extra_busy, out.num_rows())
+                },
             );
             if ctx.span.is_some() {
                 let build_end = span_t0 + m.build.as_nanos() as u64;
@@ -384,13 +358,11 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
         LogicalPlan::Aggregate { input, group, aggs, schema } => {
             let t = execute(input, ctx)?;
             let start = Instant::now();
-            if parallel::active(ctx.config, t.num_rows()) {
-                let (out, busy) = parallel::aggregate(&t, group, aggs, schema, ctx)?;
-                ctx.record_parallel(OperatorKind::GroupBy, start.elapsed(), busy, out.num_rows());
-                return Ok(out);
-            }
-            let out = aggregate(&t, group, aggs, schema, ctx)?;
-            ctx.record(OperatorKind::GroupBy, start.elapsed(), out.num_rows());
+            let (out, extra_busy) = aggregate(&t, group, aggs, schema, ctx)?;
+            ctx.record(
+                OperatorKind::GroupBy,
+                op_metrics(start.elapsed(), extra_busy, out.num_rows()),
+            );
             Ok(out)
         }
         LogicalPlan::Sort { input, keys } => {
@@ -412,7 +384,10 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                 std::cmp::Ordering::Equal
             });
             let out = t.take(&idx);
-            ctx.record(OperatorKind::Sort, start.elapsed(), out.num_rows());
+            ctx.record(
+                OperatorKind::Sort,
+                op_metrics(start.elapsed(), Duration::ZERO, out.num_rows()),
+            );
             Ok(out)
         }
         LogicalPlan::Limit { input, n } => {
@@ -421,7 +396,10 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let keep = (*n as usize).min(t.num_rows());
             let idx: Vec<usize> = (0..keep).collect();
             let out = t.take(&idx);
-            ctx.record(OperatorKind::Limit, start.elapsed(), out.num_rows());
+            ctx.record(
+                OperatorKind::Limit,
+                op_metrics(start.elapsed(), Duration::ZERO, out.num_rows()),
+            );
             Ok(out)
         }
     }
@@ -587,10 +565,9 @@ pub(crate) fn group_state_bytes(groups: usize, aggs: usize) -> u64 {
     (groups as u64) * (48 + 48 * aggs as u64)
 }
 
-/// Hash join: serial build on the smaller side, probe either serially or
-/// morsel-parallel. Returns the joined table plus any worker busy time the
-/// parallel probe accrued beyond its own wall time (zero when serial), so
-/// the caller can report wall + extra to the profiler.
+/// Hash join: build on the smaller side, then the morsel-driven probe.
+/// Returns the joined table plus the worker busy time the probe accrued
+/// beyond its own wall time, so the caller can report wall + extra.
 fn hash_join(
     lt: &Table,
     rt: &Table,
@@ -599,7 +576,7 @@ fn hash_join(
     output: Option<&[usize]>,
     schema: &Schema,
     ctx: &ExecContext<'_>,
-) -> Result<(Table, std::time::Duration)> {
+) -> Result<(Table, Duration)> {
     let l_keys: Vec<BoundExpr> = keys.iter().map(|(l, _)| l.clone()).collect();
     let r_keys: Vec<BoundExpr> = keys.iter().map(|(_, r)| r.clone()).collect();
     let lk = join_keys(lt, &l_keys, ctx)?;
@@ -607,8 +584,7 @@ fn hash_join(
 
     // Build on the smaller side.
     let build_left = lt.num_rows() <= rt.num_rows();
-    let mut extra_busy = std::time::Duration::ZERO;
-    let (build_rows, probe_rows) = match (&lk, &rk) {
+    let (build_rows, probe_rows, extra_busy) = match (&lk, &rk) {
         (JoinKeys::Packed(l), JoinKeys::Packed(r)) => {
             let (build, probe) = if build_left { (l, r) } else { (r, l) };
             let _build_mem = ctx.reserve("join.build", build_bytes(build.len(), 16))?;
@@ -619,27 +595,7 @@ fn hash_join(
                 }
                 table.entry(k).or_default().push(row);
             }
-            if parallel::active(ctx.config, probe.len()) {
-                let probe_start = Instant::now();
-                let (b, p, busy) = parallel::probe(probe.len(), |row| table.get(&probe[row]), ctx)?;
-                extra_busy = busy.saturating_sub(probe_start.elapsed());
-                (b, p)
-            } else {
-                let mut b = Vec::new();
-                let mut p = Vec::new();
-                for (probe_row, k) in probe.iter().enumerate() {
-                    if probe_row % CHECK_STRIDE == 0 {
-                        ctx.check()?;
-                    }
-                    if let Some(matches) = table.get(k) {
-                        for &build_row in matches {
-                            b.push(build_row);
-                            p.push(probe_row);
-                        }
-                    }
-                }
-                (b, p)
-            }
+            probe_matches(probe.len(), |row| table.get(&probe[row]), ctx)?
         }
         _ => {
             // At least one side has non-integer keys: use general keys for
@@ -656,34 +612,47 @@ fn hash_join(
                 }
                 table.entry(k.as_slice()).or_default().push(row);
             }
-            if parallel::active(ctx.config, probe.len()) {
-                let probe_start = Instant::now();
-                let (b, p, busy) =
-                    parallel::probe(probe.len(), |row| table.get(probe[row].as_slice()), ctx)?;
-                extra_busy = busy.saturating_sub(probe_start.elapsed());
-                (b, p)
-            } else {
-                let mut b = Vec::new();
-                let mut p = Vec::new();
-                for (probe_row, k) in probe.iter().enumerate() {
-                    if probe_row % CHECK_STRIDE == 0 {
-                        ctx.check()?;
-                    }
-                    if let Some(matches) = table.get(k.as_slice()) {
-                        for &build_row in matches {
-                            b.push(build_row);
-                            p.push(probe_row);
-                        }
-                    }
-                }
-                (b, p)
-            }
+            probe_matches(probe.len(), |row| table.get(probe[row].as_slice()), ctx)?
         }
     };
     let (l_idx, r_idx) =
         if build_left { (build_rows, probe_rows) } else { (probe_rows, build_rows) };
     let out = glue_join(lt, &l_idx, rt, &r_idx, residual, output, schema, ctx)?;
     Ok((out, extra_busy))
+}
+
+/// The morsel-driven probe: each morsel of probe rows emits its matches as
+/// `(build_row, probe_row)` pairs, probe rows ascending and build rows in
+/// build insertion order; concatenating morsels in order keeps that order.
+fn probe_matches<'a, F>(
+    n_probe: usize,
+    lookup: F,
+    ctx: &ExecContext<'_>,
+) -> Result<(Vec<usize>, Vec<usize>, Duration)>
+where
+    F: Fn(usize) -> Option<&'a Vec<usize>> + Sync,
+{
+    let (parts, extra_busy) = morsel::run(ctx, n_probe, |range| {
+        let mut build_rows = Vec::new();
+        let mut probe_rows = Vec::new();
+        for probe_row in range {
+            if let Some(matches) = lookup(probe_row) {
+                for &build_row in matches {
+                    build_rows.push(build_row);
+                    probe_rows.push(probe_row);
+                }
+            }
+        }
+        let rows = probe_rows.len();
+        Ok(((build_rows, probe_rows), rows))
+    })?;
+    let mut parts = parts.into_iter();
+    let (mut build_rows, mut probe_rows) = parts.next().expect("morsel::run yields a morsel");
+    for (b, p) in parts {
+        build_rows.extend_from_slice(&b);
+        probe_rows.extend_from_slice(&p);
+    }
+    Ok((build_rows, probe_rows, extra_busy))
 }
 
 // ---------------------------------------------------------------------------
@@ -774,9 +743,9 @@ impl Acc {
     }
 
     /// Folds another accumulator of the same shape into this one. The
-    /// parallel group-by merges per-morsel partials in morsel order, so the
-    /// combined state depends only on the morsel decomposition, not on
-    /// worker scheduling.
+    /// group-by merges per-morsel partials in morsel order, so the combined
+    /// state depends only on the morsel decomposition, not on worker
+    /// scheduling.
     fn merge(&mut self, other: Acc) -> Result<()> {
         match (self, other) {
             (Acc::Count(a), Acc::Count(b)) => *a += b,
@@ -816,9 +785,7 @@ impl Acc {
                 }
             }
             _ => {
-                return Err(Error::Plan(
-                    "mismatched accumulator shapes in parallel aggregate merge".into(),
-                ))
+                return Err(Error::Plan("mismatched accumulator shapes in aggregate merge".into()))
             }
         }
         Ok(())
@@ -899,13 +866,55 @@ pub(crate) fn group_rows(key_cols: &[Column], n: usize) -> (Vec<usize>, Vec<usiz
     (group_first_row, row_group)
 }
 
+/// One morsel's partial aggregate: the key values of its groups in
+/// first-occurrence order (one column per group key) and one accumulator
+/// row per group.
+struct Partial {
+    keys: Vec<Column>,
+    accs: Vec<Vec<Acc>>,
+}
+
+/// `GroupBy`: partial aggregates per morsel, merged in morsel order, so
+/// group ids follow first occurrence across the whole input. Returns the
+/// table and the morsels' extra worker busy time.
 fn aggregate(
     t: &Table,
     group: &[BoundExpr],
     aggs: &[AggExpr],
     schema: &Schema,
     ctx: &ExecContext<'_>,
-) -> Result<Table> {
+) -> Result<(Table, Duration)> {
+    let (parts, extra_busy) = morsel::run(ctx, t.num_rows(), |range| {
+        let part = aggregate_morsel(&morsel::input(t, range), group, aggs, ctx)?;
+        let groups = part.accs.len();
+        Ok((part, groups))
+    })?;
+    let Partial { keys, accs } = merge_partials(parts)?;
+    let _group_mem = ctx.reserve("agg.groups", group_state_bytes(accs.len(), aggs.len()))?;
+
+    // Emit.
+    let mut cols: Vec<Column> =
+        schema.fields().iter().map(|f| Column::empty(f.data_type)).collect();
+    for (g, group_accs) in accs.iter().enumerate() {
+        for (ki, kc) in keys.iter().enumerate() {
+            cols[ki].push(kc.value(g))?;
+        }
+        for (ai, acc) in group_accs.iter().enumerate() {
+            let field = schema.field(group.len() + ai);
+            cols[group.len() + ai].push(acc.finish(field.data_type))?;
+        }
+    }
+    Ok((Table::new(schema.clone(), cols)?, extra_busy))
+}
+
+/// The group-by kernel over one morsel: group ids from [`group_rows`],
+/// then one accumulator update per row and aggregate.
+fn aggregate_morsel(
+    t: &Table,
+    group: &[BoundExpr],
+    aggs: &[AggExpr],
+    ctx: &ExecContext<'_>,
+) -> Result<Partial> {
     let n = t.num_rows();
     let key_cols: Vec<Column> =
         group.iter().map(|e| e.eval(t, &ctx.eval_ctx())).collect::<Result<_>>()?;
@@ -919,7 +928,6 @@ fn aggregate(
     // Global aggregate: exactly one group even with zero input rows.
     let n_groups =
         if group.is_empty() { 1.max(group_first_row.len()) } else { group_first_row.len() };
-    let _group_mem = ctx.reserve("agg.groups", group_state_bytes(n_groups, aggs.len()))?;
 
     // Accumulate.
     let mut accs: Vec<Vec<Acc>> = (0..n_groups)
@@ -941,23 +949,39 @@ fn aggregate(
             accs[g][ai].update(v.as_ref())?;
         }
     }
+    let keys = key_cols.iter().map(|c| c.take(&group_first_row)).collect();
+    Ok(Partial { keys, accs })
+}
 
-    // Emit.
-    #[allow(clippy::needless_range_loop)]
-    let mut cols: Vec<Column> =
-        schema.fields().iter().map(|f| Column::empty(f.data_type)).collect();
-    #[allow(clippy::needless_range_loop)] // g indexes accumulators and first-row table
-    for g in 0..n_groups {
-        for (ki, kc) in key_cols.iter().enumerate() {
-            let row = *group_first_row.get(g).unwrap_or(&0);
-            cols[ki].push(kc.value(row))?;
+/// Merges partial aggregates in morsel order. The partials' key values are
+/// concatenated and grouped again by [`group_rows`], whose ids follow first
+/// occurrence, so a group's first partial seeds it and later ones merge
+/// into it. A single partial is the result as it stands.
+fn merge_partials(parts: Vec<Partial>) -> Result<Partial> {
+    let mut parts = parts.into_iter();
+    let Partial { mut keys, mut accs } = parts.next().expect("morsel::run yields a morsel");
+    if parts.as_slice().is_empty() {
+        return Ok(Partial { keys, accs });
+    }
+    for part in parts {
+        for (all, more) in keys.iter_mut().zip(&part.keys) {
+            all.append(more)?;
         }
-        for (ai, acc) in accs[g].iter().enumerate() {
-            let field = schema.field(group.len() + ai);
-            cols[group.len() + ai].push(acc.finish(field.data_type))?;
+        accs.extend(part.accs);
+    }
+    let (first_row, group_of) = group_rows(&keys, accs.len());
+    let mut merged: Vec<Vec<Acc>> = Vec::with_capacity(first_row.len());
+    for (partial, g) in accs.into_iter().zip(group_of) {
+        if g == merged.len() {
+            merged.push(partial);
+        } else {
+            for (acc, p) in merged[g].iter_mut().zip(partial) {
+                acc.merge(p)?;
+            }
         }
     }
-    Table::new(schema.clone(), cols)
+    let keys = keys.iter().map(|c| c.take(&first_row)).collect();
+    Ok(Partial { keys, accs: merged })
 }
 
 #[cfg(test)]
@@ -965,8 +989,8 @@ mod tests {
     use super::*;
     use crate::table::Field;
 
-    fn ctx_parts() -> (Catalog, UdfRegistry, Profiler, ExecConfig) {
-        (Catalog::new(), UdfRegistry::new(), Profiler::new(), ExecConfig::default())
+    fn ctx_parts() -> (Catalog, UdfRegistry, StatementStats, ExecConfig) {
+        (Catalog::new(), UdfRegistry::new(), StatementStats::new(), ExecConfig::default())
     }
 
     fn sample_table() -> Table {
@@ -982,12 +1006,12 @@ mod tests {
 
     #[test]
     fn filter_executes_mask() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, stats, config) = ctx_parts();
         catalog.create_table("t", sample_table(), false).unwrap();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            stats: &stats,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1007,7 +1031,10 @@ mod tests {
         };
         let out = execute(&plan, &ctx).unwrap();
         assert_eq!(out.num_rows(), 2);
-        // Profiler saw a scan and a filter.
+        // The statement recorded a scan and a filter.
+        drop(ctx);
+        let profiler = crate::profile::Profiler::new();
+        profiler.absorb(stats);
         let kinds: Vec<_> = profiler.snapshot().iter().map(|(k, _)| *k).collect();
         assert!(kinds.contains(&OperatorKind::Scan));
         assert!(kinds.contains(&OperatorKind::Filter));
@@ -1015,11 +1042,11 @@ mod tests {
 
     #[test]
     fn hash_join_matches_pairs() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, stats, config) = ctx_parts();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            stats: &stats,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1053,11 +1080,11 @@ mod tests {
 
     #[test]
     fn aggregate_group_by() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, stats, config) = ctx_parts();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            stats: &stats,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1090,7 +1117,8 @@ mod tests {
             &schema,
             &ctx,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.num_rows(), 3);
         // Group 1 -> 40.0 over 2 rows.
         let k = out.column(0);
@@ -1103,11 +1131,11 @@ mod tests {
 
     #[test]
     fn global_aggregate_over_empty_input() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, stats, config) = ctx_parts();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            stats: &stats,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1128,18 +1156,19 @@ mod tests {
             &schema,
             &ctx,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.column(0).i64_at(0), 0);
     }
 
     #[test]
     fn count_of_boolean_counts_trues() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, stats, config) = ctx_parts();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            stats: &stats,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1164,12 +1193,13 @@ mod tests {
             &schema,
             &ctx,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.column(0).i64_at(0), 3);
     }
 
     #[test]
-    fn parallel_operators_match_serial() {
+    fn operators_agree_at_every_parallelism() {
         // A table big enough to split into several morsels.
         let n = 1000i64;
         let big = Table::new(
@@ -1180,108 +1210,75 @@ mod tests {
             ],
         )
         .unwrap();
+        let scan =
+            || Box::new(LogicalPlan::Scan { table: "t".into(), schema: big.schema().clone() });
+        let filter = LogicalPlan::Filter {
+            input: scan(),
+            predicate: BoundExpr::Binary {
+                left: Box::new(BoundExpr::Column(0)),
+                op: crate::sql::ast::BinOp::Lt,
+                right: Box::new(BoundExpr::Literal(Value::Int64(20))),
+            },
+        };
+        let join = LogicalPlan::Join {
+            left: scan(),
+            right: scan(),
+            keys: vec![(BoundExpr::Column(0), BoundExpr::Column(0))],
+            residual: None,
+            algorithm: JoinAlgorithm::Hash,
+            output: None,
+            schema: Schema::new(
+                big.schema().fields().iter().chain(big.schema().fields()).cloned().collect(),
+            ),
+        };
+        let agg = |func, arg, name: &str| AggExpr {
+            func,
+            arg,
+            distinct: false,
+            output_name: name.into(),
+        };
+        let group_by = LogicalPlan::Aggregate {
+            input: scan(),
+            group: vec![BoundExpr::Column(0)],
+            aggs: vec![
+                agg(AggFunc::Count, None, "c"),
+                agg(AggFunc::Min, Some(BoundExpr::Column(1)), "mn"),
+                agg(AggFunc::Sum, Some(BoundExpr::Column(1)), "s"),
+            ],
+            schema: Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::new("c", DataType::Int64),
+                Field::new("mn", DataType::Float64),
+                Field::new("s", DataType::Float64),
+            ]),
+        };
 
-        let run = |parallelism: usize| -> (Table, Table, Table) {
-            let (catalog, udfs, profiler, mut config) = ctx_parts();
+        let run = |parallelism: usize| -> Vec<Table> {
+            let (catalog, udfs, stats, mut config) = ctx_parts();
             config.parallelism = parallelism;
             config.morsel_rows = 64;
-            config.min_parallel_rows = 0;
             catalog.create_table("t", big.clone(), false).unwrap();
             let ctx = ExecContext {
                 catalog: &catalog,
                 udfs: &udfs,
-                profiler: &profiler,
+                stats: &stats,
                 config: &config,
                 tracer: obs::disabled(),
                 span: obs::SpanId::NONE,
                 governor: govern::Governor::unrestricted(),
                 budget: None,
             };
-            let scan = LogicalPlan::Scan { table: "t".into(), schema: big.schema().clone() };
-            let filtered = execute(
-                &LogicalPlan::Filter {
-                    input: Box::new(scan.clone()),
-                    predicate: BoundExpr::Binary {
-                        left: Box::new(BoundExpr::Column(0)),
-                        op: crate::sql::ast::BinOp::Lt,
-                        right: Box::new(BoundExpr::Literal(Value::Int64(20))),
-                    },
-                },
-                &ctx,
-            )
-            .unwrap();
-            let (joined, _) = hash_join(
-                &big,
-                &big,
-                &[(BoundExpr::Column(0), BoundExpr::Column(0))],
-                None,
-                None,
-                &Schema::new(
-                    big.schema().fields().iter().chain(big.schema().fields()).cloned().collect(),
-                ),
-                &ctx,
-            )
-            .unwrap();
-            let agg_schema = Schema::new(vec![
-                Field::new("k", DataType::Int64),
-                Field::new("c", DataType::Int64),
-                Field::new("mn", DataType::Float64),
-            ]);
-            let grouped = if parallelism > 1 {
-                parallel::aggregate(
-                    &big,
-                    &[BoundExpr::Column(0)],
-                    &[
-                        AggExpr {
-                            func: AggFunc::Count,
-                            arg: None,
-                            distinct: false,
-                            output_name: "c".into(),
-                        },
-                        AggExpr {
-                            func: AggFunc::Min,
-                            arg: Some(BoundExpr::Column(1)),
-                            distinct: false,
-                            output_name: "mn".into(),
-                        },
-                    ],
-                    &agg_schema,
-                    &ctx,
-                )
-                .unwrap()
-                .0
-            } else {
-                aggregate(
-                    &big,
-                    &[BoundExpr::Column(0)],
-                    &[
-                        AggExpr {
-                            func: AggFunc::Count,
-                            arg: None,
-                            distinct: false,
-                            output_name: "c".into(),
-                        },
-                        AggExpr {
-                            func: AggFunc::Min,
-                            arg: Some(BoundExpr::Column(1)),
-                            distinct: false,
-                            output_name: "mn".into(),
-                        },
-                    ],
-                    &agg_schema,
-                    &ctx,
-                )
-                .unwrap()
-            };
-            (filtered, joined, grouped)
+            [&filter, &join, &group_by].iter().map(|plan| execute(plan, &ctx).unwrap()).collect()
         };
 
-        let (f1, j1, g1) = run(1);
+        let reference = run(1);
+        assert_eq!(reference[0].num_rows(), 541);
+        assert_eq!(reference[2].num_rows(), 37);
         for p in [2, 8] {
-            let (fp, jp, gp) = run(p);
-            assert_eq!(f1, fp, "filter differs at parallelism={p}");
-            assert_eq!(j1, jp, "join differs at parallelism={p}");
-            assert_eq!(g1, gp, "group-by differs at parallelism={p}");
+            let got = run(p);
+            assert_eq!(reference[0], got[0], "filter differs at parallelism={p}");
+            assert_eq!(reference[1], got[1], "join differs at parallelism={p}");
+            assert_eq!(reference[2], got[2], "group-by differs at parallelism={p}");
         }
     }
 
@@ -1333,11 +1330,11 @@ mod tests {
 
     #[test]
     fn stddev_samp_matches_definition() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, stats, config) = ctx_parts();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            stats: &stats,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1362,7 +1359,8 @@ mod tests {
             &schema,
             &ctx,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!((out.column(0).f64_at(0) - 1.0).abs() < 1e-9);
     }
 }

@@ -455,41 +455,47 @@ fn eval_binary(l: &Column, op: BinOp, r: &Column) -> Result<Column> {
             Ok(Column::Float64(out))
         }
         Eq | NotEq | Lt | LtEq | Gt | GtEq => {
-            let mut out = Vec::with_capacity(n);
-            // Typed fast path for numeric columns.
+            // Typed fast paths: Int64 against Int64 compares exactly (an
+            // i64 above 2^53 does not survive the trip through f64); other
+            // numeric pairs compare as f64.
+            if let (Column::Int64(a), Column::Int64(b)) = (l, r) {
+                return Ok(Column::Bool(compare(a, b, op)));
+            }
             if l.data_type().is_numeric() && r.data_type().is_numeric() {
-                let a = l.as_f64_vec()?;
-                let b = r.as_f64_vec()?;
-                for (&x, &y) in a.iter().zip(b.iter()) {
-                    out.push(match op {
-                        Eq => x == y,
-                        NotEq => x != y,
-                        Lt => x < y,
-                        LtEq => x <= y,
-                        Gt => x > y,
-                        GtEq => x >= y,
-                        _ => unreachable!(),
-                    });
-                }
-            } else {
-                for row in 0..n {
-                    let x = l.value(row);
-                    let y = r.value(row);
-                    let ord = x.total_cmp(&y);
-                    out.push(match op {
-                        Eq => x.sql_eq(&y),
-                        NotEq => !x.sql_eq(&y),
-                        Lt => ord.is_lt(),
-                        LtEq => ord.is_le(),
-                        Gt => ord.is_gt(),
-                        GtEq => ord.is_ge(),
-                        _ => unreachable!(),
-                    });
-                }
+                return Ok(Column::Bool(compare(&l.as_f64_vec()?, &r.as_f64_vec()?, op)));
+            }
+            let mut out = Vec::with_capacity(n);
+            for row in 0..n {
+                let x = l.value(row);
+                let y = r.value(row);
+                let ord = x.total_cmp(&y);
+                out.push(match op {
+                    Eq => x.sql_eq(&y),
+                    NotEq => !x.sql_eq(&y),
+                    Lt => ord.is_lt(),
+                    LtEq => ord.is_le(),
+                    Gt => ord.is_gt(),
+                    GtEq => ord.is_ge(),
+                    _ => unreachable!(),
+                });
             }
             Ok(Column::Bool(out))
         }
     }
+}
+
+/// Element-wise comparison of two equally long typed slices.
+fn compare<T: PartialOrd>(a: &[T], b: &[T], op: BinOp) -> Vec<bool> {
+    let cmp: fn(&T, &T) -> bool = match op {
+        BinOp::Eq => T::eq,
+        BinOp::NotEq => T::ne,
+        BinOp::Lt => T::lt,
+        BinOp::LtEq => T::le,
+        BinOp::Gt => T::gt,
+        BinOp::GtEq => T::ge,
+        _ => unreachable!("not a comparison: {op:?}"),
+    };
+    a.iter().zip(b).map(|(x, y)| cmp(x, y)).collect()
 }
 
 fn scalar_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value> {

@@ -63,7 +63,7 @@ pub use cost::{parallel_discount, CostContext, CostModel, DefaultCostModel, Plan
 pub use db::{Database, DatabaseBuilder, PreparedQuery, QueryResult};
 pub use error::{Error, Result};
 pub use govern::{CancelToken, QueryError};
-pub use profile::{OperatorKind, Profiler};
+pub use profile::{OperatorKind, Profiler, StatementStats};
 pub use table::{Field, Schema, Table};
 pub use udf::{ScalarUdf, UdfRegistry};
 pub use value::{DataType, Value};

@@ -20,7 +20,11 @@
 //! * every group key is computable from one join side alone, and
 //! * every aggregate argument is computable from one side, or is a
 //!   product of a left-side and a right-side factor (the conv kernel
-//!   dot-product shape).
+//!   dot-product shape), and
+//! * no group key or aggregate argument calls a UDF. The fused operator
+//!   evaluates them over a whole join side before the probe, so a UDF
+//!   (an nUDF inference) would run on rows the join then drops; unfused,
+//!   it runs on matched rows only. Fusion must not change the work.
 //!
 //! Anything else is left as the unfused pair. The pass runs after column
 //! pruning, so it also sees (and strips) the join's column-pruning
@@ -114,7 +118,9 @@ fn try_fuse(
             ..
         } if !keys.is_empty()
     );
-    if !fusable_join || !aggs_decomposable(&aggs) {
+    let calls_udf = group.iter().any(BoundExpr::contains_udf)
+        || aggs.iter().filter_map(|a| a.arg.as_ref()).any(BoundExpr::contains_udf);
+    if !fusable_join || calls_udf || !aggs_decomposable(&aggs) {
         return Err(Box::new((input, group, aggs)));
     }
     let LogicalPlan::Join { left, right, keys, output, .. } = input else { unreachable!() };
@@ -418,6 +424,26 @@ mod tests {
             })],
         );
         assert_eq!(fuse_join_aggregates(plan.clone()), plan);
+    }
+
+    #[test]
+    fn udf_calls_block_fusion() {
+        // COUNT(nUDF(B.v)) GROUP BY A.o, and SUM(A.v) GROUP BY nUDF(B.v):
+        // fused, the UDF would run on every row of B, matched or not.
+        let udf = || BoundExpr::Udf { name: "nudf".into(), args: vec![BoundExpr::Column(3)] };
+        let count_udf = AggExpr {
+            func: AggFunc::Count,
+            arg: Some(udf()),
+            distinct: false,
+            output_name: "c".into(),
+        };
+        for (group, aggs) in [
+            (vec![BoundExpr::Column(0)], vec![count_udf]),
+            (vec![udf()], vec![sum_of(BoundExpr::Column(1))]),
+        ] {
+            let plan = agg_over(join(scan("a", &["o", "v"]), scan("b", &["o", "v"])), group, aggs);
+            assert_eq!(fuse_join_aggregates(plan.clone()), plan);
+        }
     }
 
     #[test]

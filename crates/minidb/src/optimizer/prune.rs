@@ -477,12 +477,12 @@ mod tests {
         };
         let catalog = crate::catalog::Catalog::new();
         let udfs = crate::udf::UdfRegistry::new();
-        let profiler = crate::profile::Profiler::new();
+        let stats = crate::profile::StatementStats::new();
         let config = ExecConfig::default();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            stats: &stats,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,

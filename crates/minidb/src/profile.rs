@@ -1,8 +1,13 @@
-//! Per-operator execution timing.
+//! Per-operator execution accounting.
 //!
 //! Paper Fig. 10 breaks a DL2SQL run down by relational clause (Join,
-//! GroupBy, Filter, ...). The executor feeds a [`Profiler`] with one timing
-//! record per operator invocation; harnesses snapshot it per layer/run.
+//! GroupBy, Filter, ...). Every operator invocation reports one
+//! [`obs::OpMetrics`] value through `ExecContext::record`; that value
+//! feeds the operator's span and the running statement's
+//! [`StatementStats`]. When the statement ends, its stats are folded once
+//! into the database-wide [`Profiler`], which harnesses snapshot per
+//! layer/run. Statements running at the same time therefore never see each
+//! other's counters.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -55,9 +60,9 @@ pub struct OperatorStats {
     pub total: Duration,
     pub invocations: u64,
     pub rows_out: u64,
-    /// Summed per-worker busy time. Equal to `total` for serial
-    /// invocations; larger when morsels ran on several workers (the
-    /// busy/total ratio is the operator's effective parallelism).
+    /// Summed per-worker busy time. Close to `total` when the morsels ran
+    /// on one worker; larger when they ran on several (the busy/total
+    /// ratio is the operator's effective parallelism).
     pub busy: Duration,
     /// Input rows consumed (recorded by operators that report it; the
     /// fused join–aggregate counts both join inputs here).
@@ -67,11 +72,85 @@ pub struct OperatorStats {
     pub bytes_not_materialized: u64,
 }
 
-/// Thread-safe timing accumulator.
+impl OperatorStats {
+    fn add(&mut self, other: &OperatorStats) {
+        self.total += other.total;
+        self.invocations += other.invocations;
+        self.rows_out += other.rows_out;
+        self.busy += other.busy;
+        self.rows_in += other.rows_in;
+        self.bytes_not_materialized += other.bytes_not_materialized;
+    }
+}
+
+/// Operator and plan-cache counters, keyed by operator kind.
+#[derive(Debug, Default)]
+struct Totals {
+    ops: HashMap<OperatorKind, OperatorStats>,
+    plan_cache: cachekit::StatsSnapshot,
+}
+
+impl Totals {
+    fn rows_out(&self, kind: OperatorKind) -> u64 {
+        self.ops.get(&kind).map_or(0, |s| s.rows_out)
+    }
+}
+
+/// The counters of one running statement. Operators record into it
+/// through `ExecContext::record`; [`Profiler::absorb`] folds it into the
+/// database-wide totals when the statement ends.
+#[derive(Debug, Default)]
+pub struct StatementStats {
+    totals: Mutex<Totals>,
+}
+
+impl StatementStats {
+    /// Empty stats for a statement about to run.
+    pub fn new() -> Self {
+        StatementStats::default()
+    }
+
+    /// Records one operator invocation: the same value the operator's span
+    /// receives.
+    pub(crate) fn record(&self, kind: OperatorKind, m: &obs::OpMetrics) {
+        let one = OperatorStats {
+            total: Duration::from_nanos(m.self_ns),
+            invocations: 1,
+            rows_out: m.rows_out,
+            busy: Duration::from_nanos(m.busy_ns),
+            rows_in: m.rows_in,
+            bytes_not_materialized: m.bytes_not_materialized,
+        };
+        self.totals.lock().ops.entry(kind).or_default().add(&one);
+    }
+
+    /// Records one plan-cache lookup for a SELECT going through
+    /// `Database::execute` (DDL/DML statements are not counted).
+    pub(crate) fn record_plan_cache(&self, hit: bool) {
+        let pc = &mut self.totals.lock().plan_cache;
+        if hit {
+            pc.hits += 1;
+        } else {
+            pc.misses += 1;
+        }
+    }
+
+    /// Base-table rows this statement's Scan operators read.
+    pub(crate) fn rows_scanned(&self) -> u64 {
+        self.totals.lock().rows_out(OperatorKind::Scan)
+    }
+
+    /// This statement's plan-cache lookups.
+    pub(crate) fn plan_cache(&self) -> cachekit::StatsSnapshot {
+        self.totals.lock().plan_cache
+    }
+}
+
+/// Database-wide totals: the sum of every finished statement's
+/// [`StatementStats`].
 #[derive(Debug, Default)]
 pub struct Profiler {
-    map: Mutex<HashMap<OperatorKind, OperatorStats>>,
-    plan_cache: cachekit::CacheStats,
+    totals: Mutex<Totals>,
 }
 
 impl Profiler {
@@ -80,92 +159,47 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// Records one (serial) operator invocation.
-    pub fn record(&self, kind: OperatorKind, elapsed: Duration, rows_out: usize) {
-        self.record_parallel(kind, elapsed, elapsed, rows_out);
-    }
-
-    /// Records one operator invocation that fanned out over a worker pool:
-    /// `elapsed` is the wall time, `busy` the per-worker timers' sum.
-    pub fn record_parallel(
-        &self,
-        kind: OperatorKind,
-        elapsed: Duration,
-        busy: Duration,
-        rows_out: usize,
-    ) {
-        let mut map = self.map.lock();
-        let e = map.entry(kind).or_default();
-        e.total += elapsed;
-        e.invocations += 1;
-        e.rows_out += rows_out as u64;
-        e.busy += busy;
-    }
-
-    /// As [`record_parallel`](Self::record_parallel), also accumulating the
-    /// rows-in and bytes-not-materialized counters (fused operators).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_fused(
-        &self,
-        kind: OperatorKind,
-        elapsed: Duration,
-        busy: Duration,
-        rows_in: usize,
-        rows_out: usize,
-        bytes_not_materialized: u64,
-    ) {
-        let mut map = self.map.lock();
-        let e = map.entry(kind).or_default();
-        e.total += elapsed;
-        e.invocations += 1;
-        e.rows_in += rows_in as u64;
-        e.rows_out += rows_out as u64;
-        e.busy += busy;
-        e.bytes_not_materialized += bytes_not_materialized;
+    /// Folds a finished statement's counters into the totals.
+    pub(crate) fn absorb(&self, stmt: StatementStats) {
+        let stmt = stmt.totals.into_inner();
+        let mut totals = self.totals.lock();
+        for (kind, s) in &stmt.ops {
+            totals.ops.entry(*kind).or_default().add(s);
+        }
+        totals.plan_cache = totals.plan_cache.merge(stmt.plan_cache);
     }
 
     /// Accumulated stats for one operator kind, if it ran.
     pub fn stats(&self, kind: OperatorKind) -> Option<OperatorStats> {
-        self.map.lock().get(&kind).copied()
+        self.totals.lock().ops.get(&kind).copied()
     }
 
     /// Accumulated output rows for one operator kind (0 when unseen).
     pub fn rows_out(&self, kind: OperatorKind) -> u64 {
-        self.map.lock().get(&kind).map_or(0, |s| s.rows_out)
+        self.totals.lock().rows_out(kind)
     }
 
     /// A snapshot of all accumulated stats, sorted by kind.
     pub fn snapshot(&self) -> Vec<(OperatorKind, OperatorStats)> {
-        let map = self.map.lock();
-        let mut out: Vec<_> = map.iter().map(|(k, v)| (*k, *v)).collect();
+        let totals = self.totals.lock();
+        let mut out: Vec<_> = totals.ops.iter().map(|(k, v)| (*k, *v)).collect();
         out.sort_by_key(|(k, _)| *k);
         out
     }
 
     /// Total time across all operators.
     pub fn total(&self) -> Duration {
-        self.map.lock().values().map(|s| s.total).sum()
-    }
-
-    /// Records one plan-cache lookup for a SELECT going through
-    /// `Database::execute` (DDL/DML statements are not counted).
-    pub fn record_plan_cache(&self, hit: bool) {
-        if hit {
-            self.plan_cache.record_hit();
-        } else {
-            self.plan_cache.record_miss();
-        }
+        self.totals.lock().ops.values().map(|s| s.total).sum()
     }
 
     /// Plan-cache hit/miss counters since the last reset.
     pub fn plan_cache_stats(&self) -> cachekit::StatsSnapshot {
-        self.plan_cache.snapshot()
+        self.totals.lock().plan_cache
     }
 
     /// Clears all accumulated stats.
     pub fn reset(&self) {
-        self.map.lock().clear();
-        self.plan_cache.reset();
+        *self.totals.lock() = Totals::default();
     }
 }
 
@@ -173,12 +207,25 @@ impl Profiler {
 mod tests {
     use super::*;
 
+    fn op(ms: u64, busy_ms: u64, rows_in: u64, rows_out: u64, bytes: u64) -> obs::OpMetrics {
+        obs::OpMetrics {
+            self_ns: ms * 1_000_000,
+            busy_ns: busy_ms * 1_000_000,
+            rows_in,
+            rows_out,
+            bytes_not_materialized: bytes,
+        }
+    }
+
     #[test]
     fn records_accumulate_per_kind() {
         let p = Profiler::new();
-        p.record(OperatorKind::Join, Duration::from_millis(5), 100);
-        p.record(OperatorKind::Join, Duration::from_millis(7), 50);
-        p.record(OperatorKind::Scan, Duration::from_millis(1), 10);
+        let s = StatementStats::new();
+        s.record(OperatorKind::Join, &op(5, 5, 0, 100, 0));
+        s.record(OperatorKind::Join, &op(7, 7, 0, 50, 0));
+        s.record(OperatorKind::Scan, &op(1, 1, 0, 10, 0));
+        assert_eq!(s.rows_scanned(), 10);
+        p.absorb(s);
         let snap = p.snapshot();
         let join = snap.iter().find(|(k, _)| *k == OperatorKind::Join).unwrap().1;
         assert_eq!(join.invocations, 2);
@@ -190,7 +237,9 @@ mod tests {
     #[test]
     fn reset_clears() {
         let p = Profiler::new();
-        p.record(OperatorKind::Sort, Duration::from_millis(1), 0);
+        let s = StatementStats::new();
+        s.record(OperatorKind::Sort, &op(1, 1, 0, 0, 0));
+        p.absorb(s);
         p.reset();
         assert!(p.snapshot().is_empty());
     }
@@ -198,9 +247,13 @@ mod tests {
     #[test]
     fn plan_cache_counters_accumulate_and_reset() {
         let p = Profiler::new();
-        p.record_plan_cache(false);
-        p.record_plan_cache(true);
-        p.record_plan_cache(true);
+        for hits in [vec![false], vec![true, true]] {
+            let s = StatementStats::new();
+            for &hit in &hits {
+                s.record_plan_cache(hit);
+            }
+            p.absorb(s);
+        }
         let s = p.plan_cache_stats();
         assert_eq!((s.hits, s.misses), (2, 1));
         p.reset();
@@ -217,25 +270,14 @@ mod tests {
     #[test]
     fn fused_records_carry_extra_counters() {
         let p = Profiler::new();
-        p.record_fused(
-            OperatorKind::JoinAggregate,
-            Duration::from_millis(2),
-            Duration::from_millis(4),
-            1000,
-            10,
-            8192,
-        );
-        p.record_fused(
-            OperatorKind::JoinAggregate,
-            Duration::from_millis(1),
-            Duration::from_millis(1),
-            500,
-            10,
-            4096,
-        );
+        let s = StatementStats::new();
+        s.record(OperatorKind::JoinAggregate, &op(2, 4, 1000, 10, 8192));
+        s.record(OperatorKind::JoinAggregate, &op(1, 1, 500, 10, 4096));
+        p.absorb(s);
         let s = p.stats(OperatorKind::JoinAggregate).unwrap();
         assert_eq!(s.rows_in, 1500);
         assert_eq!(s.rows_out, 20);
+        assert_eq!(s.busy, Duration::from_millis(5));
         assert_eq!(s.bytes_not_materialized, 12288);
         assert_eq!(s.invocations, 2);
     }

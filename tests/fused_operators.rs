@@ -40,7 +40,6 @@ fn fixture_db(parallelism: usize, fuse: bool) -> Database {
         .exec_config(minidb::exec::ExecConfig {
             parallelism,
             morsel_rows: 16,
-            min_parallel_rows: 0,
             plan_cache_capacity: 0,
             ..Default::default()
         })
@@ -221,7 +220,6 @@ fn collab_db(parallelism: usize, fuse: bool) -> Arc<Database> {
             .exec_config(minidb::exec::ExecConfig {
                 parallelism,
                 morsel_rows: 16,
-                min_parallel_rows: 0,
                 ..Default::default()
             })
             .optimizer_config(OptimizerConfig { fuse_join_aggregates: fuse, ..Default::default() })
@@ -262,6 +260,52 @@ fn all_strategies_match_forced_unfused_at_every_parallelism() {
                 let got =
                     fused.execute(sql, kind).unwrap_or_else(|e| panic!("fused {ctx} failed: {e}"));
                 assert_tables_identical(&reference.table, &got.table, &ctx);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Work equivalence: fusion and parallelism change neither results nor work
+// ---------------------------------------------------------------------------
+
+#[test]
+fn fusion_and_parallelism_never_change_results_or_inference_work() {
+    // A rewrite that returns the same rows but runs inference on more
+    // keyframes is a bug: every (fusion, parallelism) setting must match
+    // unfused p=1 in result tables *and* inference flops, for all four
+    // Table-I templates under all four strategies.
+    let repo = build_repo(&RepoConfig {
+        keyframe_shape: KEYFRAME_SHAPE.to_vec(),
+        histogram_samples: 16,
+        ..Default::default()
+    });
+    let queries: Vec<String> =
+        [QueryType::Type1, QueryType::Type2, QueryType::Type3, QueryType::Type4]
+            .into_iter()
+            .map(|t| workload::queries::template(t, 0.1, "").sql)
+            .collect();
+    let mut reference: Option<Vec<(minidb::Table, u64)>> = None;
+    for fuse in [false, true] {
+        for parallelism in [1usize, 2, 8] {
+            let engine = CollabEngine::new(collab_db(parallelism, fuse), Arc::clone(&repo));
+            let mut runs = Vec::new();
+            for kind in StrategyKind::all() {
+                for sql in &queries {
+                    let out = engine.execute(sql, kind).unwrap_or_else(|e| {
+                        panic!("{} fuse={fuse} p={parallelism} failed: {e}\n{sql}", kind.label())
+                    });
+                    runs.push((kind, sql, out.table, out.sim.inference_flops));
+                }
+            }
+            let Some(reference) = &reference else {
+                reference = Some(runs.into_iter().map(|(_, _, t, f)| (t, f)).collect());
+                continue;
+            };
+            for ((kind, sql, table, flops), (ref_table, ref_flops)) in runs.iter().zip(reference) {
+                let ctx = format!("{} fuse={fuse} p={parallelism}: {sql}", kind.label());
+                assert_tables_identical(ref_table, table, &ctx);
+                assert_eq!(flops, ref_flops, "{ctx}: inference flops");
             }
         }
     }

@@ -16,12 +16,7 @@ use workload::{build_dataset, build_repo, DatasetConfig, RepoConfig};
 /// pair for the fused path, and indexes — the corpus the trace tests run.
 fn corpus_db(parallelism: usize) -> Database {
     let db = Database::builder()
-        .exec_config(ExecConfig {
-            parallelism,
-            morsel_rows: 256,
-            min_parallel_rows: 128,
-            ..Default::default()
-        })
+        .exec_config(ExecConfig { parallelism, morsel_rows: 256, ..Default::default() })
         .build();
     db.execute_script(
         "CREATE TABLE fm (MatrixID Int64, OrderID Int64, Value Float64); \

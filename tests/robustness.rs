@@ -73,12 +73,7 @@ fn counter(reg: &obs::Registry, name: &str) -> u64 {
 /// morsels), so parallel queries cross many `exec.morsel` checkpoints.
 fn morsel_db(parallelism: usize) -> Database {
     let db = Database::builder()
-        .exec_config(ExecConfig {
-            parallelism,
-            morsel_rows: 16,
-            min_parallel_rows: 0,
-            ..Default::default()
-        })
+        .exec_config(ExecConfig { parallelism, morsel_rows: 16, ..Default::default() })
         .build();
     db.execute_script(
         "CREATE TABLE fm (MatrixID Int64, OrderID Int64, Value Float64); \
@@ -108,12 +103,7 @@ const MORSEL_QUERY: &str = "SELECT MatrixID, OrderID, Value FROM fm WHERE Value 
 fn engine(parallelism: usize) -> CollabEngine {
     let db = Arc::new(
         Database::builder()
-            .exec_config(ExecConfig {
-                parallelism,
-                morsel_rows: 16,
-                min_parallel_rows: 0,
-                ..Default::default()
-            })
+            .exec_config(ExecConfig { parallelism, morsel_rows: 16, ..Default::default() })
             .build(),
     );
     let config =
@@ -323,7 +313,6 @@ fn budget_db(budget: u64) -> Database {
         .exec_config(ExecConfig {
             parallelism: 2,
             morsel_rows: 64,
-            min_parallel_rows: 0,
             memory_budget: budget,
             ..Default::default()
         })

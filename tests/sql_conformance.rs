@@ -296,3 +296,37 @@ fn blob_values_roundtrip_through_projection() {
     let Value::Blob(b) = out.table().column(0).value(0) else { panic!("expected blob") };
     assert_eq!(*b, vec![1, 2, 3]);
 }
+
+#[test]
+fn int64_comparisons_are_exact_beyond_f64_precision() {
+    // 2^53 + 1 rounds to 2^53 as an f64. A filter must compare Int64
+    // keys exactly, as the hash join on the same keys does.
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE a (k Int64); CREATE TABLE b (k Int64); \
+         INSERT INTO a VALUES (9007199254740993), (9007199254740992), (5); \
+         INSERT INTO b VALUES (9007199254740992);",
+    )
+    .unwrap();
+    let keys = |sql: &str| -> Vec<i64> {
+        let out = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        (0..out.table().num_rows()).map(|r| out.table().column(0).i64_at(r)).collect()
+    };
+    let filtered = keys("SELECT k FROM a WHERE k = 9007199254740992");
+    let joined = keys("SELECT a.k FROM a, b WHERE a.k = b.k");
+    assert_eq!(filtered, vec![9007199254740992]);
+    assert_eq!(filtered, joined, "filter and hash join disagree on equality");
+    for (op, expected) in [
+        ("<>", vec![9007199254740993, 5]),
+        ("<", vec![5]),
+        ("<=", vec![9007199254740992, 5]),
+        (">", vec![9007199254740993]),
+        (">=", vec![9007199254740993, 9007199254740992]),
+    ] {
+        assert_eq!(
+            keys(&format!("SELECT k FROM a WHERE k {op} 9007199254740992")),
+            expected,
+            "{op}"
+        );
+    }
+}
